@@ -16,10 +16,11 @@
 //! Every answer reports which engine produced it ([`Method`]), so the
 //! experiment harness can ablate the cascade.
 
-use pdb_data::{Tuple, TupleDb};
+use pdb_data::{Tuple, TupleDb, TupleIndex};
 use pdb_logic::{Cq, Fo, Ucq};
 use pdb_wmc::DpllOptions;
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 pub use pdb_lifted::{classify_sjf_cq, classify_ucq, Complexity};
 
@@ -113,6 +114,16 @@ impl From<pdb_logic::ParseError> for EngineError {
     }
 }
 
+/// The tuple numbering grounded inference works over: a [`TupleIndex`] of
+/// the database plus every tuple's probability, in index order.
+#[derive(Debug)]
+pub struct Grounding {
+    /// The tuple index (lineage variable `i` is tuple `TupleId(i)`).
+    pub index: TupleIndex,
+    /// `probs[i]` is the probability of tuple `i`.
+    pub probs: Vec<f64>,
+}
+
 /// A probabilistic database with the full query-evaluation cascade.
 ///
 /// Mutations are tracked by a **per-relation version vector** plus a domain
@@ -129,6 +140,9 @@ pub struct ProbDb {
     domain_version: u64,
     /// Total mutation count (= Σ versions + domain_version).
     total_version: u64,
+    /// The grounding of the current contents, built on first use and
+    /// dropped by every mutation; see [`ProbDb::grounding`].
+    grounding: OnceLock<Arc<Grounding>>,
 }
 
 impl ProbDb {
@@ -197,6 +211,7 @@ impl ProbDb {
             versions,
             domain_version,
             total_version,
+            grounding: OnceLock::new(),
         }
     }
 
@@ -208,8 +223,20 @@ impl ProbDb {
         self.domain_version
     }
 
+    /// The tuple index and probabilities of the current contents. Built at
+    /// most once per database version: every mutation drops it, and the
+    /// next grounded query (or view compile) rebuilds it.
+    pub fn grounding(&self) -> &Grounding {
+        self.grounding.get_or_init(|| {
+            let index = self.db.index();
+            let probs = index.iter().map(|(_, r)| r.prob).collect();
+            Arc::new(Grounding { index, probs })
+        })
+    }
+
     /// Inserts a tuple with probability `p` (relation declared on first use).
     pub fn insert(&mut self, relation: &str, tuple: impl Into<Tuple>, p: f64) {
+        self.grounding.take();
         self.db.insert(relation, tuple, p);
         *self.versions.entry(relation.to_string()).or_insert(0) += 1;
         self.total_version += 1;
@@ -226,6 +253,7 @@ impl ProbDb {
         if !self.db.update_prob(relation, tuple, p) {
             return None;
         }
+        self.grounding.take();
         let v = self.versions.entry(relation.to_string()).or_insert(0);
         *v += 1;
         self.total_version += 1;
@@ -234,6 +262,7 @@ impl ProbDb {
 
     /// Extends the domain beyond the active one (matters for ∀ queries).
     pub fn extend_domain(&mut self, consts: impl IntoIterator<Item = u64>) {
+        self.grounding.take();
         self.db.extend_domain(consts);
         self.domain_version += 1;
         self.total_version += 1;
@@ -268,9 +297,8 @@ impl ProbDb {
         }
         // 2. Grounded inference with a decision budget.
         let mut compile_span = pdb_obs::span(pdb_obs::Stage::Compile);
-        let index = self.db.index();
-        let lineage = pdb_lineage::lineage(fo, &self.db, &index);
-        let probs: Vec<f64> = index.iter().map(|(_, r)| r.prob).collect();
+        let Grounding { index, probs } = self.grounding();
+        let lineage = pdb_lineage::lineage(fo, &self.db, index);
         compile_span.set_u64("tuples", probs.len() as u64);
         drop(compile_span);
         let dpll_opts = DpllOptions {
@@ -282,7 +310,13 @@ impl ProbDb {
             let mut span = pdb_obs::span(pdb_obs::Stage::Ground);
             let kernel_before = span.is_recording().then(pdb_kernel::stats);
             span.set_u64("budget", opts.exact_budget);
-            let exact = try_exact(&lineage, &probs, dpll_opts, &pool);
+            let count = pdb_wmc::count_exact(&lineage, probs, dpll_opts, &pool);
+            let stats = count.run.stats;
+            span.set_u64("decisions", stats.decisions);
+            span.set_u64("cache_hits", stats.cache_hits);
+            span.set_u64("cache_misses", stats.cache_misses);
+            span.set_u64("component_splits", stats.component_splits);
+            let exact = count.probability();
             span.set_bool("within_budget", exact.is_some());
             if let Some(before) = kernel_before {
                 let after = pdb_kernel::stats();
@@ -311,11 +345,11 @@ impl ProbDb {
         let est = {
             let mut span = pdb_obs::span(pdb_obs::Stage::Sample);
             let kernel_before = span.is_recording().then(pdb_kernel::stats);
-            let dnf = pdb_lineage::ucq_dnf_lineage(&ucq, &self.db, &index);
+            let dnf = pdb_lineage::ucq_dnf_lineage(&ucq, &self.db, index);
             // Chunk-seeded sampling: the estimate is bit-identical for every
             // pool size (see `karp_luby::estimate_chunked`).
             let est =
-                pdb_wmc::karp_luby::estimate_chunked(&dnf, &probs, opts.samples, opts.seed, &pool);
+                pdb_wmc::karp_luby::estimate_chunked(&dnf, probs, opts.samples, opts.seed, &pool);
             span.set_u64("samples", opts.samples);
             if let Some(before) = kernel_before {
                 let after = pdb_kernel::stats();
@@ -433,41 +467,6 @@ impl ProbDb {
             ProbDb::from_tuple_db(pdb_data::openworld::lambda_completion(&self.db, lambda));
         let upper = completed.query_fo(fo, opts)?;
         Ok((lower, upper))
-    }
-}
-
-/// Runs the exact counter under a budget; `None` when aborted. Counting
-/// runs on `pool` (independent components in parallel; bit-identical to the
-/// sequential counter — see `pdb_wmc::run_parallel`).
-fn try_exact(
-    lineage: &pdb_lineage::BoolExpr,
-    probs: &[f64],
-    opts: DpllOptions,
-    pool: &pdb_par::Pool,
-) -> Option<f64> {
-    use pdb_lineage::{BoolExpr, Cnf};
-    let n = probs.len() as u32;
-    match lineage {
-        BoolExpr::Const(b) => Some(if *b { 1.0 } else { 0.0 }),
-        _ if lineage.is_monotone_dnf() => {
-            let cnf = Cnf::from_negated_dnf(lineage, n);
-            let r = pdb_wmc::run_parallel(&cnf, probs, opts, pool);
-            (!r.aborted).then_some(1.0 - r.probability)
-        }
-        _ => match Cnf::from_expr_direct(lineage, n) {
-            Some(cnf) => {
-                let r = pdb_wmc::run_parallel(&cnf, probs, opts, pool);
-                (!r.aborted).then_some(r.probability)
-            }
-            None => {
-                let cnf = Cnf::tseitin(lineage, n);
-                let aux = cnf.aux_vars();
-                let mut all = probs.to_vec();
-                all.resize(cnf.num_vars as usize, 0.5);
-                let r = pdb_wmc::run_parallel(&cnf, &all, opts, pool);
-                (!r.aborted).then(|| r.probability * 2f64.powi(aux as i32))
-            }
-        },
     }
 }
 

@@ -36,9 +36,9 @@ use crate::persist::{CircuitState, RowState, ViewDefState, ViewState};
 use pdb_compile::DecisionDnnf;
 use pdb_core::{Answer, AnswerTuple, EngineError, Method, ProbDb, QueryOptions};
 use pdb_data::Tuple;
-use pdb_lineage::{BoolExpr, Cnf};
+use pdb_lineage::BoolExpr;
 use pdb_logic::{Cq, Fo, Term, Var};
-use pdb_wmc::{Dpll, DpllOptions};
+use pdb_wmc::DpllOptions;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -773,8 +773,7 @@ fn build_rows(opts: &ViewOptions, view: &mut View, db: &ProbDb) -> Result<(), En
         .iter()
         .map(|r| (r.clone(), db.relation_version(r)))
         .collect();
-    let index = db.tuple_db().index();
-    let probs: Vec<f64> = index.iter().map(|(_, r)| r.prob).collect();
+    let pdb_core::Grounding { index, probs } = db.grounding();
     view.leaves = Arc::new(
         index
             .iter()
@@ -783,7 +782,7 @@ fn build_rows(opts: &ViewOptions, view: &mut View, db: &ProbDb) -> Result<(), En
     );
     let rows = match &view.def {
         ViewDef::Boolean { fo, .. } => {
-            vec![compile_row(opts, fo, Vec::new(), db, &index, &probs)?]
+            vec![compile_row(opts, fo, Vec::new(), db, index, probs)?]
         }
         ViewDef::Answers { head, cq, .. } => {
             let candidates = pdb_lineage::cq_answer_bindings(cq, head, db.tuple_db());
@@ -793,7 +792,7 @@ fn build_rows(opts: &ViewOptions, view: &mut View, db: &ProbDb) -> Result<(), En
                 for (v, &c) in head.iter().zip(&values) {
                     bound = bound.substitute(v, &Term::Const(c));
                 }
-                compile_row(opts, &bound.to_fo(), values, db, &index, &probs)
+                compile_row(opts, &bound.to_fo(), values, db, index, probs)
             });
             let mut rows = Vec::with_capacity(compiled.len());
             for row in compiled {
@@ -808,9 +807,9 @@ fn build_rows(opts: &ViewOptions, view: &mut View, db: &ProbDb) -> Result<(), En
     Ok(())
 }
 
-/// Compiles one answer row: lineage → CNF (the same three encodings the
-/// engine's exact path uses) → DPLL trace → cached circuit; falls back
-/// to the full cascade when the decision budget aborts the compilation.
+/// Compiles one answer row: lineage → CNF (the engine's exact-count
+/// encoding, `pdb_wmc::count_exact`) → DPLL trace → cached circuit; falls
+/// back to the full cascade when the decision budget aborts the compilation.
 fn compile_row(
     view_opts: &ViewOptions,
     fo: &Fo,
@@ -819,7 +818,6 @@ fn compile_row(
     index: &pdb_data::TupleIndex,
     probs: &[f64],
 ) -> Result<ViewRow, EngineError> {
-    let index_len = probs.len() as u32;
     let lineage = pdb_lineage::lineage(fo, db.tuple_db(), index);
     if let BoolExpr::Const(b) = lineage {
         let circuit = IncrementalCircuit::constant(b);
@@ -836,25 +834,16 @@ fn compile_row(
         max_decisions: view_opts.compile_budget,
         ..Default::default()
     };
-    // Mirror the engine's CNF selection (`pdb-core`): negate a monotone
-    // DNF, encode directly when the shape allows, Tseitin otherwise.
-    let compiled = if lineage.is_monotone_dnf() {
-        let cnf = Cnf::from_negated_dnf(&lineage, index_len);
-        let r = Dpll::new(&cnf, probs.to_vec(), opts).run();
-        let trace = if r.aborted { None } else { r.trace };
-        trace.map(|t| (t, true, 1.0, probs.to_vec()))
-    } else if let Some(cnf) = Cnf::from_expr_direct(&lineage, index_len) {
-        let r = Dpll::new(&cnf, probs.to_vec(), opts).run();
-        let trace = if r.aborted { None } else { r.trace };
-        trace.map(|t| (t, false, 1.0, probs.to_vec()))
-    } else {
-        let cnf = Cnf::tseitin(&lineage, index_len);
-        let aux = cnf.aux_vars();
-        let mut all = probs.to_vec();
-        all.resize(cnf.num_vars as usize, 0.5);
-        let r = Dpll::new(&cnf, all.clone(), opts).run();
-        let trace = if r.aborted { None } else { r.trace };
-        trace.map(|t| (t, false, 2f64.powi(aux as i32), all))
+    // Traced runs never fork, so the pool only satisfies the signature.
+    let count = pdb_wmc::count_exact(&lineage, probs, opts, &pdb_par::current());
+    let scale = count.scale();
+    let compiled = match count.run.trace {
+        Some(trace) if !count.run.aborted => {
+            let mut leaf_probs = probs.to_vec();
+            leaf_probs.resize(probs.len() + count.aux as usize, 0.5);
+            Some((trace, count.negated, scale, leaf_probs))
+        }
+        _ => None,
     };
     match compiled {
         Some((trace, negated, scale, leaf_probs)) => {

@@ -14,8 +14,8 @@
 //!   classical fallback for #P-hard queries,
 //! * [`monte_carlo`] — naive world sampling (unbiased but not an FPRAS;
 //!   the ablation baseline that motivates Karp–Luby),
-//! * [`prob`] — a convenience front-end dispatching an arbitrary
-//!   [`pdb_lineage::BoolExpr`] to the right counter.
+//! * [`prob`] — the exact-count front-end every engine uses: it encodes an
+//!   arbitrary [`pdb_lineage::BoolExpr`] as CNF and counts it on a pool.
 //!
 //! Probabilities may be non-standard (outside `[0,1]`) throughout; only the
 //! sampling-based estimator requires standard values.
@@ -27,7 +27,6 @@ pub mod monte_carlo;
 pub mod prob;
 
 pub use dpll::{
-    clone_stats, run_parallel, CloneStats, Dpll, DpllOptions, DpllResult, DpllStats, Trace,
-    TraceNode, TraceNodeId,
+    run_parallel, Dpll, DpllOptions, DpllResult, DpllStats, Trace, TraceNode, TraceNodeId,
 };
-pub use prob::{probability_of_expr, probability_of_query};
+pub use prob::{count_exact, probability_of_expr, probability_of_query, ExactCount};

@@ -10,7 +10,7 @@
 //! shape: child intervals nest inside their parents and sibling stages
 //! appear in cascade order (`check_well_formed`).
 
-use probdb::obs::{check_well_formed, span, with_tracer, SpanRecord, Stage, Tracer};
+use probdb::obs::{check_well_formed, span, with_tracer, AttrValue, SpanRecord, Stage, Tracer};
 use probdb::par::{with_pool, Pool};
 use probdb::{ProbDb, QueryOptions};
 use proptest::prelude::*;
@@ -96,6 +96,31 @@ fn grounded_queries_are_tracing_invariant() {
         assert!(
             spans.iter().any(|s| s.stage == stage),
             "missing {stage:?} in {spans:?}"
+        );
+    }
+}
+
+#[test]
+fn ground_span_reports_the_dpll_run() {
+    let db = test_db(4);
+    let opts = QueryOptions::default();
+    let (_, spans) =
+        traced(|| fo_fingerprint(&db, "exists x. exists y. R(x) & S(x,y) & T(y)", &opts));
+    let ground = spans
+        .iter()
+        .find(|s| s.stage == Stage::Ground)
+        .expect("a grounded query records a ground span");
+    for key in [
+        "decisions",
+        "cache_hits",
+        "cache_misses",
+        "component_splits",
+    ] {
+        let value = ground.attrs.iter().find(|(k, _)| *k == key);
+        assert!(
+            matches!(value, Some((_, AttrValue::U64(n))) if *n > 0),
+            "ground span attribute {key}: {value:?} in {:?}",
+            ground.attrs
         );
     }
 }
